@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "cache/cache_switch.h"
 #include "cluster/cluster_sim.h"
@@ -21,8 +22,11 @@
 #include "runtime/shm_arena.h"
 #include "runtime/shm_ring.h"
 #include "runtime/spsc_ring.h"
+#include "sim/cluster_model.h"
+#include "sim/engine_core.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
+#include "sketch/heavy_hitter.h"
 #include "sketch/lru_map.h"
 
 namespace distcache {
@@ -63,6 +67,26 @@ void BM_CountMinUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountMinUpdate);
+
+// The request engines' observer call (HeavyHitterDetector::Observe: sketch
+// update + report store, no Bloom) at the engine's own sizing, ObserverConfig
+// for the paper testbed's candidate pool, over a zipf-0.99 key stream.
+void BM_HeavyHitterObserve(benchmark::State& state) {
+  const ClusterModel model(ClusterConfig{}, /*build_popularity=*/false);
+  HeavyHitterDetector hh(ObserverConfig(model.pool));
+  const ZipfDistribution dist(model.cfg.num_keys, 0.99);
+  Rng rng(6);
+  std::vector<uint64_t> keys(size_t{1} << 20);
+  for (uint64_t& key : keys) {
+    key = dist.Sample(rng);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    hh.Observe(keys[i]);
+    i = (i + 1) & (keys.size() - 1);
+  }
+}
+BENCHMARK(BM_HeavyHitterObserve);
 
 void BM_BloomInsertAndTest(benchmark::State& state) {
   BloomFilter bf(BloomFilter::Config{});

@@ -7,21 +7,6 @@ namespace distcache {
 
 namespace {
 
-// Observer sizing: the simulated controller aggregates switch reports in
-// software, so the sketch is deliberately wider than the data-plane defaults
-// (§5: 4×64K×16bit). Width 2^18 keeps per-cell collision mass ≪ 1 for the
-// request windows the benches run, and threshold 2 admits every key seen twice
-// within an observation window — sampled-tail keys essentially never are, head
-// keys almost always are.
-HeavyHitterDetector::Config ObserverConfig(uint64_t pool) {
-  HeavyHitterDetector::Config cfg;
-  cfg.sketch.width = 1 << 18;
-  cfg.sketch.counter_max = std::numeric_limits<uint32_t>::max();
-  cfg.report_threshold = 2;
-  cfg.max_reports_per_epoch = static_cast<size_t>(2 * pool);
-  return cfg;
-}
-
 // Applies one plan step's routing-relevant transition to (alive, shift, model) —
 // the single source of truth for how a step changes the controller state — and
 // returns the post-step route snapshot (null for steps that change no routes:
@@ -64,6 +49,15 @@ std::shared_ptr<const RouteTable> AdvancePlanState(const TimelineStep& step,
 }
 
 }  // namespace
+
+HeavyHitterDetector::Config ObserverConfig(uint64_t pool) {
+  HeavyHitterDetector::Config cfg;
+  cfg.sketch.width = 1 << 18;
+  cfg.sketch.counter_max = std::numeric_limits<uint32_t>::max();
+  cfg.report_threshold = 2;
+  cfg.max_reports_per_epoch = static_cast<size_t>(2 * pool);
+  return cfg;
+}
 
 uint64_t PlanRouteTableBytes(const RouteTable* base,
                              const std::vector<TimelineStep>& plan) {
@@ -154,6 +148,7 @@ EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
       spine_alive_(model->cfg.num_spine, 1) {
   if (enable_observer) {
     observer_ = std::make_unique<HeavyHitterDetector>(ObserverConfig(model->pool));
+    observing_ = 1;
   }
   const CachePolicyKind kind = model->cfg.cache_policy;
   if (kind == CachePolicyKind::kStaticTopK) {
@@ -187,6 +182,24 @@ void EngineCore::ConfigureOpenLoop(const QueueModelConfig& queue,
   vnow_ = 0.0;
   cache_free_at_ = model_->ZeroCacheLoads();
   server_free_at_.assign(model_->num_servers(), 0.0);
+}
+
+void EngineCore::UpdateObserving() {
+  if (!observer_) {
+    return;
+  }
+  // The window that starts now is read only if it ends at a re-allocation.
+  observing_ = 0;
+  for (size_t i = next_action_; i < actions_.size(); ++i) {
+    const Action& a = actions_[i];
+    if (a.is_phase || a.event.kind == ClusterEvent::Kind::kShiftHotspot) {
+      return;  // reset unread
+    }
+    if (a.event.kind == ClusterEvent::Kind::kReallocateCache) {
+      observing_ = 1;
+      return;
+    }
+  }
 }
 
 void EngineCore::ApplyAction(const Action& action) {

@@ -93,9 +93,23 @@ std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
     const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
     std::vector<uint8_t> alive_now, uint64_t shift_now);
 
-// True when the timeline contains a kReallocateCache step — the engines then run
-// the core's heavy-hitter observer from the start of the run.
+// True when the timeline contains a kReallocateCache step — the engines then
+// build the core's heavy-hitter observer, which records only the windows a
+// re-allocation reads (EngineCore::observing_).
 bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events);
+
+// The engine observer's sizing for a candidate pool of `pool` ranks. The
+// simulated controller aggregates switch reports in software, so the sketch is
+// deliberately wider than the data-plane defaults (§5: 4×64K×16bit). Width 2^18
+// keeps per-cell collision mass ≪ 1 for the request windows the benches run
+// (and, being a power of two, takes the fused kernel's mask path), and
+// threshold 2 admits every key seen twice within an observation window —
+// sampled-tail keys essentially never are, head keys almost always are. The
+// engine feeds it through HeavyHitterDetector::Observe (so the Bloom filter
+// configured here is never touched on the request path), and only in the
+// windows a re-allocation reads — never after the last one
+// (EngineCore::observing_).
+HeavyHitterDetector::Config ObserverConfig(uint64_t pool);
 
 // Total bytes of the base route table plus every precomputed plan snapshot —
 // the figure the engines stamp into BackendStats::route_table_bytes. Tables a
@@ -175,8 +189,13 @@ class EngineCore {
   // bit-identical to the closed-loop run of the same config (tested). No-op
   // when the arrival process is disabled; must be called before processing.
   void ConfigureOpenLoop(const QueueModelConfig& queue, uint64_t time_seed);
-  // Actions must be queued in at_local order (the plan/multicast order).
-  void QueueAction(Action action) { actions_.push_back(std::move(action)); }
+  // Actions must be queued in at_local order (the plan/multicast order), and
+  // before the requests they follow: the observer decides from the queue which
+  // windows it records (observing_).
+  void QueueAction(Action action) {
+    actions_.push_back(std::move(action));
+    UpdateObserving();
+  }
   // Drops queued/applied actions so a Run can re-queue its plan. Note this does
   // NOT rewind routing/phase/failure state to the pre-timeline snapshot — a
   // backend that already replayed a timeline is not a fresh backend. Every
@@ -185,6 +204,7 @@ class EngineCore {
   void ClearActions() {
     actions_.clear();
     next_action_ = 0;
+    observing_ = observer_ != nullptr;
   }
   // Index of the next unapplied action — inside the reallocate hook this is the
   // first post-reallocation step, the start of the suffix whose snapshots the
@@ -326,7 +346,9 @@ class EngineCore {
 
   // The observer's per-key heavy-hitter reports since the last phase boundary /
   // re-allocation, hottest-first — what the controller re-allocates from. Empty
-  // when the observer is disabled.
+  // when the observer is disabled, after the last queued re-allocation, and
+  // in windows that a phase boundary or hot-spot shift closes before any
+  // re-allocation (nothing reads those; see observing_).
   std::vector<std::pair<uint64_t, uint32_t>> ObservedCounts() const {
     return observer_ ? observer_->TopReports()
                      : std::vector<std::pair<uint64_t, uint32_t>>{};
@@ -348,11 +370,15 @@ class EngineCore {
     free_at = depart;
     stats_->latency.Add(hops * hop_cost_ + (depart - vnow_));
   }
+  // Closes the observation window (phase boundary, hot-spot shift or
+  // re-allocation) and decides whether to record the next one.
   void ResetObserver() {
     if (observer_) {
       observer_->NewEpoch();
+      UpdateObserving();
     }
   }
+  void UpdateObserving();
 
   const ClusterModel* model_;
   Rng rng_;
@@ -396,6 +422,13 @@ class EngineCore {
   // stream so enabling the layer never perturbs the key/write draws; free_at
   // arrays are per-node FIFO horizons in virtual time.
   uint8_t open_loop_ = 0;
+  // Reads are recorded while this byte is set. Armed with the observer and on
+  // ClearActions (with nothing queued, a caller may read ObservedCounts() at
+  // any time); once actions are queued, set only while the next window-closing
+  // action is a kReallocateCache — a window a phase boundary or a hot-spot
+  // shift resets first, and everything after the last re-allocation, is never
+  // read. Kept beside open_loop_: both are read at the top of every request.
+  uint8_t observing_ = 0;
   Rng time_rng_{0};
   ArrivalConfig arrival_;
   double hop_cost_ = 0.2;
@@ -507,10 +540,10 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
+  if (observing_) {
     // Controller-side popularity observation (per-object hit counters for cached
     // keys, the heavy-hitter sketch for the rest — folded into one detector).
-    observer_->Record(key);
+    observer_->Observe(key);
   }
   // Blackholed candidates degrade the power-of-k choice set: a dead top-layer
   // copy is skipped (k shrinks by one), and a key whose every copy is dead falls
@@ -679,8 +712,8 @@ void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
-    observer_->Record(key);
+  if (observing_) {
+    observer_->Observe(key);
   }
   CacheNodeId node;
   bool have_node = false;
@@ -790,8 +823,8 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
-    observer_->Record(key);
+  if (observing_) {
+    observer_->Observe(key);
   }
   const CachePolicyRuntime::ReadProbe probe = policy_->Probe(key);
   if (!probe.hit) {
